@@ -75,7 +75,7 @@ use crate::engine::{CampEngine, EngineStats, StagedRequest};
 use crate::pool::WorkerPool;
 use crate::session::Session;
 
-// ---- thread configuration (the single source of truth) --------------------
+// ---- thread configuration and knob parsing (the single source of truth) ---
 
 /// Clamp a requested worker count the way every backend does: `0` means
 /// one worker per available core, and the result is never below 1.
@@ -88,21 +88,47 @@ pub fn resolve_threads(requested: usize) -> usize {
     .max(1)
 }
 
+/// Read a non-negative integer environment knob: `None` when the
+/// variable is unset or blank.
+///
+/// # Panics
+/// Panics when the variable is set to anything that does not parse as
+/// a non-negative integer: a typo must fail loudly, not silently serve
+/// with a default the operator did not ask for.
+pub fn env_usize(name: &str) -> Option<usize> {
+    parse_usize_knob(name, std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+}
+
+fn parse_usize_knob(name: &str, raw: Option<String>) -> Option<usize> {
+    let raw = raw?;
+    let raw = raw.trim();
+    if raw.is_empty() {
+        return None;
+    }
+    let n = raw.parse().unwrap_or_else(|_| {
+        panic!("{name} must be a non-negative integer, got '{raw}'");
+    });
+    Some(n)
+}
+
 /// Host-engine worker count from the environment: `CAMP_THREADS`,
 /// resolved through [`resolve_threads`] (unset or `0` = all cores).
+///
+/// # Panics
+/// Panics on a value that is not a non-negative integer.
 pub fn host_threads_from_env() -> usize {
-    resolve_threads(std::env::var("CAMP_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(0))
+    resolve_threads(env_usize("CAMP_THREADS").unwrap_or(0))
 }
 
 /// Simulated-driver scheduler width from the environment:
 /// `CAMP_SIM_THREADS`, resolved through [`resolve_threads`] except that
 /// *unset* means 1 (serial — simulation results are bit-identical at
 /// any width, so parallelism is strictly opt-in).
+///
+/// # Panics
+/// Panics on a value that is not a non-negative integer.
 pub fn sim_threads_from_env() -> usize {
-    match std::env::var("CAMP_SIM_THREADS").ok().and_then(|s| s.parse().ok()) {
-        Some(n) => resolve_threads(n),
-        None => 1,
-    }
+    env_usize("CAMP_SIM_THREADS").map_or(1, resolve_threads)
 }
 
 // ---- outcomes -------------------------------------------------------------
@@ -634,6 +660,22 @@ mod tests {
     fn thread_resolution_clamps_like_the_engines() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
+    }
+
+    #[test]
+    fn usize_knobs_parse_or_fail_loudly() {
+        let parse = |raw: &str| parse_usize_knob("DEMO_KNOB", Some(raw.to_string()));
+        assert_eq!(parse_usize_knob("DEMO_KNOB", None), None);
+        assert_eq!(parse(""), None);
+        assert_eq!(parse("  "), None);
+        assert_eq!(parse("0"), Some(0));
+        assert_eq!(parse(" 12 "), Some(12));
+        for garbage in ["two", "-1", "1.5", "4k"] {
+            let caught = std::panic::catch_unwind(|| parse(garbage));
+            let msg = *caught.unwrap_err().downcast::<String>().expect("panic message");
+            assert!(msg.contains("DEMO_KNOB must be a non-negative integer"), "{msg}");
+            assert!(msg.contains(garbage), "{msg}");
+        }
     }
 
     #[test]

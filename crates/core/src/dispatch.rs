@@ -3,10 +3,11 @@
 //! [`Session`](crate::session::Session) owns its backend exclusively —
 //! concurrency stops at one client. Production serving means many
 //! concurrent clients over one warm engine and one weight registry.
-//! [`Dispatcher`] is that layer: it owns the backend, spawns a small
-//! crew of **stager** threads plus one **driver** thread, and hands out
-//! any number of [`DispatchSession`] clients, each with its own FIFO
-//! queue, ticket space and admission bound.
+//! [`Dispatcher`] is that layer: it keeps the backend in a shared
+//! **engine slot**, spawns a small crew of **stager** threads plus one
+//! **driver** thread, and hands out any number of [`DispatchSession`]
+//! clients, each with its own FIFO queue, ticket space and admission
+//! bound.
 //!
 //! The pipeline generalizes the single-tenant session's three stages:
 //!
@@ -27,8 +28,9 @@
 //!    [`MAX_STAGED`] claimed-but-uncomputed batches preserves the
 //!    "pack batch N+1 while batch N computes" overlap without staging
 //!    a whole backlog into memory;
-//! 3. **compute** — the driver owns the backend and repeatedly executes
-//!    the *best* ready batch: highest [`Priority`] first
+//! 3. **compute** — whoever holds the engine slot executes one batch
+//!    on the backend. The driver repeatedly executes the *best* ready
+//!    batch: highest [`Priority`] first
 //!    (decode-latency-critical beats prefill-throughput), then earliest
 //!    deadline, then admission order. An aging rule bounds priority
 //!    inversion the other way: after [`DECODE_BURST`] consecutive
@@ -41,11 +43,27 @@
 //!    spends cycles only on batches that can still make their
 //!    deadlines.
 //!
+//! **Caller runs.** A closed-loop client submits one batch and blocks
+//! in [`DispatchSession::wait`]. Handing that batch to a stager and
+//! then to the driver costs two thread wake-ups, which for a decode
+//! step dwarf the GeMM itself. So a waiting client whose batch is the
+//! one the stagers would claim next and the driver would run next —
+//! the engine idle, nothing ready, no control op pending, no other
+//! front batch ranking ahead of it — takes the engine slot and runs
+//! [`CampBackend::prepare`] and [`CampBackend::execute_prepared`] on
+//! its own thread (counted in [`DispatchStats::inline`]). The
+//! `running` flag in the shared state marks the slot taken, so the
+//! driver and the clients execute one at a time, and priority, aging,
+//! shedding and eviction order come out as if the pipeline had run the
+//! batch. Pipelining clients (several batches in flight) still go
+//! through the stagers.
+//!
 //! Weight **eviction races** are first-class: [`Dispatcher::evict_weights`]
 //! condemns the handle immediately (new submissions fail with
 //! [`RequestError::StaleHandle`]) and queues a control op the driver
-//! serializes with batch execution, so a stale handle racing a live
-//! session errs per batch instead of panicking the engine.
+//! serializes with batch execution through the engine slot, so a
+//! stale handle racing a live session errs per batch instead of
+//! panicking the engine.
 //!
 //! Every primitive comes from [`crate::sync`], so the whole protocol is
 //! explored by the `camp-loom` model checker (`tests/model/dispatch_model.rs`)
@@ -82,6 +100,7 @@
 //! ```
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 // the sync seam: std primitives normally, the camp-loom model checker
@@ -92,7 +111,7 @@ use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 use camp_gemm::request::{GemmRequest, Operand, RequestError};
 use camp_gemm::weights::{WeightHandle, WeightMeta, WeightSnapshot};
 
-use crate::backend::{BatchOutcome, CampBackend};
+use crate::backend::{env_usize, BatchOutcome, CampBackend};
 
 /// Batches one session may have claimed-but-uncomputed (being prepared,
 /// ready, or on the engine) at a time: one computing, one staging — the
@@ -161,15 +180,17 @@ impl DispatchOptions {
     ///
     /// * `CAMP_DISPATCH_STAGERS` — stager thread count (clamped ≥ 1);
     /// * `CAMP_QUEUE_DEPTH` — per-session admission bound (clamped ≥ 1);
-    /// * `CAMP_STEAL_POLICY` — `eager` or `pinned` (anything else
-    ///   panics loudly rather than silently serving with a policy the
-    ///   operator did not ask for).
+    /// * `CAMP_STEAL_POLICY` — `eager` or `pinned`.
+    ///
+    /// # Panics
+    /// Panics on a value that does not parse, rather than silently
+    /// serving with a configuration the operator did not ask for.
     pub fn from_env() -> Self {
         let mut opts = DispatchOptions::default();
-        if let Some(n) = std::env::var("CAMP_DISPATCH_STAGERS").ok().and_then(|s| s.parse().ok()) {
+        if let Some(n) = env_usize("CAMP_DISPATCH_STAGERS") {
             opts.stagers = 1usize.max(n);
         }
-        if let Some(n) = std::env::var("CAMP_QUEUE_DEPTH").ok().and_then(|s| s.parse().ok()) {
+        if let Some(n) = env_usize("CAMP_QUEUE_DEPTH") {
             opts.queue_depth = 1usize.max(n);
         }
         if let Ok(s) = std::env::var("CAMP_STEAL_POLICY") {
@@ -207,6 +228,9 @@ pub struct DispatchStats {
     pub submitted: u64,
     /// Batches executed to completion (successfully), ever.
     pub executed: u64,
+    /// Of `executed`, the batches a waiting client ran on its own
+    /// thread (the caller-runs path of [`DispatchSession::wait`]), ever.
+    pub inline: u64,
     /// Batches cancelled unclaimed when their session dropped, ever.
     pub cancelled: u64,
     /// Submissions rejected with [`RequestError::Saturated`], ever.
@@ -230,6 +254,9 @@ pub struct DispatchStats {
     pub staging_live: usize,
     /// Batches staged and ready for the driver right now.
     pub ready_now: usize,
+    /// The engine slot is taken right now: the driver or a waiting
+    /// client is executing a batch (or the driver an eviction).
+    pub engine_busy: bool,
     /// Sessions currently open (or closed with work still in flight).
     pub sessions_live: usize,
 }
@@ -320,6 +347,7 @@ impl SessQueue {
 struct Counters {
     submitted: u64,
     executed: u64,
+    inline: u64,
     cancelled: u64,
     rejected: u64,
     stolen: u64,
@@ -340,8 +368,17 @@ struct DispState<P> {
     /// Staged batches awaiting the driver.
     ready: Vec<ReadyBatch<P>>,
     /// Eviction control ops awaiting the driver (serialized with batch
-    /// execution — the driver owns the backend).
+    /// execution through the engine slot).
     controls: VecDeque<WeightHandle>,
+    /// The engine slot is taken: the driver or a waiting client is
+    /// executing a batch (or the driver an eviction). Whoever sets this
+    /// under the lock is the only thread that touches the backend until
+    /// it clears it again.
+    running: bool,
+    /// Claimed batches the stagers are still preparing, counted by
+    /// [`Priority`] (`staging[p as usize]`), so a waiting client never
+    /// runs its batch ahead of one that outranks it.
+    staging: [usize; 2],
     /// Handles condemned by [`Dispatcher::evict_weights`]: submissions
     /// and ready batches carrying one fail with `StaleHandle` instead
     /// of reaching an engine that may already have dropped the panel.
@@ -359,6 +396,23 @@ struct DispState<P> {
 }
 
 impl<P> DispState<P> {
+    fn new(stagers: usize) -> Self {
+        DispState {
+            sessions: Vec::new(),
+            ready: Vec::new(),
+            controls: VecDeque::new(),
+            running: false,
+            staging: [0; 2],
+            condemned: HashSet::new(),
+            admit_seq: 0,
+            decode_run: 0,
+            live_stagers: stagers,
+            shutdown: false,
+            dead: None,
+            stats: Counters::default(),
+        }
+    }
+
     /// True while `worker` may yet have claimable work under `shutdown`
     /// — any visible session with a non-empty queue, *ignoring* the
     /// [`MAX_STAGED`] window (capped work still pending means "wait for
@@ -402,13 +456,63 @@ impl<P> DispState<P> {
                 best = Some((slot, front.priority, front.admit));
             }
         }
-        let (slot, _, _) = best?;
+        let (slot, priority, _) = best?;
         if steal == StealPolicy::Eager && slot % stagers != worker {
             self.stats.stolen += 1;
         }
+        self.staging[priority as usize] += 1;
         let q = self.sessions[slot].as_mut().expect("claimed slot is live");
         q.staged_live += 1;
         Some((slot, q.submitted.pop_front().expect("claimed queue is non-empty")))
+    }
+
+    /// Claim batch `seq` of session `slot` for its waiting client to
+    /// run on the client's own thread, taking the engine slot. Only
+    /// when the pipeline would run that batch next anyway: the engine
+    /// is idle, nothing is ready, no control op is pending, the batch
+    /// is its session's only claimable one (and nothing earlier of the
+    /// session is in flight), no other session's front batch ranks
+    /// ahead of it in claim order, no batch being staged outranks it,
+    /// the aging rule would not pick a prefill batch instead, its
+    /// deadline has not passed and none of its handles is condemned.
+    /// The bookkeeping matches a driver pick: staging window and
+    /// `decode_run` advance exactly as they would on that path.
+    fn claim_inline(&mut self, slot: usize, seq: u64) -> Option<Pending> {
+        if self.running || self.shutdown || !self.ready.is_empty() || !self.controls.is_empty() {
+            return None;
+        }
+        let q = self.sessions[slot].as_ref().expect("live client keeps its slot");
+        let t = match q.submitted.front() {
+            Some(t) if t.seq == seq && q.submitted.len() == 1 && q.staged_live == 0 => t,
+            _ => return None,
+        };
+        if self.staging[Priority::Decode as usize] > 0 && t.priority == Priority::Prefill {
+            return None;
+        }
+        let aging = t.priority == Priority::Decode && self.decode_run >= DECODE_BURST;
+        if aging && self.staging[Priority::Prefill as usize] > 0 {
+            return None;
+        }
+        for (other, oq) in self.sessions.iter().enumerate() {
+            let Some(f) = oq.as_ref().and_then(|oq| oq.submitted.front()) else { continue };
+            if other != slot
+                && (f.priority > t.priority
+                    || (f.priority == t.priority && f.admit < t.admit)
+                    || (aging && f.priority == Priority::Prefill))
+            {
+                return None;
+            }
+        }
+        if t.deadline.is_some_and(|dl| Instant::now() > dl)
+            || t.handles.iter().any(|h| self.condemned.contains(h))
+        {
+            return None;
+        }
+        self.running = true;
+        self.advance_decode_run(t.priority);
+        let q = self.sessions[slot].as_mut().expect("live client keeps its slot");
+        q.staged_live += 1;
+        q.submitted.pop_front()
     }
 
     /// Index of the batch the driver should run next, or `None` when
@@ -443,6 +547,14 @@ impl<P> DispState<P> {
             }
         }
         Some(best)
+    }
+
+    /// The aging rule's bookkeeping for a batch picked to run next.
+    fn advance_decode_run(&mut self, priority: Priority) {
+        self.decode_run = match priority {
+            Priority::Decode => self.decode_run + 1,
+            Priority::Prefill => 0,
+        };
     }
 
     /// Book one batch's completion: frees its session's staging window
@@ -482,30 +594,41 @@ fn beats<P>(a: &ReadyBatch<P>, b: &ReadyBatch<P>) -> bool {
     a.admit < b.admit
 }
 
-struct Shared<P> {
-    state: Mutex<DispState<P>>,
+struct Shared<B: CampBackend> {
+    state: Mutex<DispState<B::Prepared>>,
+    /// The engine slot. Only the thread that set
+    /// [`DispState::running`] locks it — the driver, or a client
+    /// running its own batch — so the lock is never contended; it
+    /// exists to hand that thread `&mut B`. Emptied at shutdown.
+    engine: Mutex<Option<B>>,
     /// Wakes stagers: new submission, staging room freed, cancellation,
-    /// shutdown. Always notified with `notify_all` — under
-    /// [`StealPolicy::Pinned`] a `notify_one` could wake a stager that
-    /// cannot see the new work while its owner sleeps (a lost wakeup;
-    /// the seeded-bug model in `tests/model/` pins this class down).
+    /// shutdown. A submission under [`StealPolicy::Eager`] wakes one
+    /// stager (any can claim it, and a woken stager keeps claiming
+    /// until nothing is claimable); everything else uses `notify_all` —
+    /// under [`StealPolicy::Pinned`] a `notify_one` could wake a stager
+    /// that cannot see the new work while its owner sleeps (a lost
+    /// wakeup).
     work_cv: Condvar,
     /// Wakes the driver: batch staged, control queued, stager crew
-    /// exited, shutdown.
+    /// exited, engine slot released by a client, shutdown.
     ready_cv: Condvar,
-    /// Wakes waiting clients: batch completed, pipeline death.
+    /// Wakes waiting clients: batch completed, engine slot released,
+    /// pipeline death.
     done_cv: Condvar,
     /// Registration snapshot every submission validates against and
     /// every stager prepares against.
     weights: WeightSnapshot,
+    /// The stager crew's claiming policy (decides how a submission
+    /// wakes it).
+    steal: StealPolicy,
 }
 
-impl<P> Shared<P> {
+impl<B: CampBackend> Shared<B> {
     /// Lock the state, ignoring mutex poisoning: every mutation is
     /// atomic under the lock (queues stay consistent even if a caller
     /// panicked mid-`wait`), and shutdown must still work after a panic
     /// so `Drop` can join the pipeline threads.
-    fn lock(&self) -> MutexGuard<'_, DispState<P>> {
+    fn lock(&self) -> MutexGuard<'_, DispState<B::Prepared>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -513,15 +636,45 @@ impl<P> Shared<P> {
     fn wait<'a>(
         &self,
         cv: &Condvar,
-        st: MutexGuard<'a, DispState<P>>,
-    ) -> MutexGuard<'a, DispState<P>> {
+        st: MutexGuard<'a, DispState<B::Prepared>>,
+    ) -> MutexGuard<'a, DispState<B::Prepared>> {
         cv.wait(st).unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Mark the pipeline dead and wake everyone.
+    /// Run `f` on the backend in the engine slot. The caller must hold
+    /// [`DispState::running`].
+    fn with_engine<R>(&self, f: impl FnOnce(&mut B) -> R) -> R {
+        let mut slot = self.engine.lock().unwrap_or_else(|e| e.into_inner());
+        f(slot.as_mut().expect("the engine slot holds the backend until shutdown"))
+    }
+
+    /// Book an executed batch and release the engine slot. Wakes the
+    /// stagers (staging room freed) and the waiting clients (a result,
+    /// or an idle engine to run their own batch on).
+    fn finish_run(
+        &self,
+        st: &mut DispState<B::Prepared>,
+        slot: usize,
+        seq: u64,
+        outcome: BatchOutcome,
+    ) {
+        st.running = false;
+        st.stats.executed += 1;
+        st.complete(slot, seq, Ok(outcome));
+        // the freed staging window only matters to a session with
+        // queued work
+        if st.sessions[slot].as_ref().is_some_and(|q| !q.submitted.is_empty()) {
+            self.work_cv.notify_all();
+        }
+        self.done_cv.notify_all();
+    }
+
+    /// Mark the pipeline dead, release the engine slot and wake
+    /// everyone.
     fn mark_dead(&self, who: &'static str) {
         let mut st = self.lock();
         st.dead = Some(who);
+        st.running = false;
         self.work_cv.notify_all();
         self.ready_cv.notify_all();
         self.done_cv.notify_all();
@@ -530,13 +683,13 @@ impl<P> Shared<P> {
 
 /// Notifies the dispatcher if a pipeline thread unwinds, so clients
 /// blocked in [`DispatchSession::wait`] fail fast instead of hanging.
-struct DeathWatch<'a, P> {
-    shared: &'a Shared<P>,
+struct DeathWatch<'a, B: CampBackend> {
+    shared: &'a Shared<B>,
     who: &'static str,
     armed: bool,
 }
 
-impl<P> Drop for DeathWatch<'_, P> {
+impl<B: CampBackend> Drop for DeathWatch<'_, B> {
     fn drop(&mut self) {
         if self.armed {
             self.shared.mark_dead(self.who);
@@ -555,7 +708,7 @@ fn next_session_id() -> u64 {
 // ---- pipeline threads ------------------------------------------------------
 
 fn stager_loop<B: CampBackend>(
-    shared: &Shared<B::Prepared>,
+    shared: &Shared<B>,
     worker: usize,
     stagers: usize,
     steal: StealPolicy,
@@ -593,6 +746,7 @@ fn stager_loop<B: CampBackend>(
         let staged: Vec<B::Prepared> =
             batch.into_iter().map(|r| B::prepare(r, &shared.weights)).collect();
         let mut st = shared.lock();
+        st.staging[priority as usize] -= 1;
         st.ready.push(ReadyBatch { slot, seq, staged, priority, deadline, handles, admit });
         shared.ready_cv.notify_all();
     }
@@ -604,7 +758,7 @@ enum DriverAction<P> {
     Exit,
 }
 
-fn driver_loop<B: CampBackend>(shared: &Shared<B::Prepared>, mut backend: B) -> B {
+fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
     let mut watch = DeathWatch { shared, who: "driver", armed: true };
     loop {
         let action = {
@@ -613,39 +767,45 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B::Prepared>, mut backend: B) -> 
                 if st.dead.is_some() {
                     break DriverAction::Exit;
                 }
-                // controls first: an eviction must not wait behind a
-                // backlog of batches that will each fail against it
-                if let Some(h) = st.controls.pop_front() {
-                    break DriverAction::Evict(h);
-                }
-                if let Some(i) = st.pick_ready() {
-                    let chosen = st.ready.remove(i);
-                    st.decode_run = match chosen.priority {
-                        Priority::Decode => st.decode_run + 1,
-                        Priority::Prefill => 0,
-                    };
-                    if chosen.handles.iter().any(|h| st.condemned.contains(h)) {
-                        // condemned while queued: fail the batch without
-                        // touching the (possibly already evicted) panel
-                        st.stats.stale_failures += 1;
-                        st.complete(chosen.slot, chosen.seq, Err(RequestError::StaleHandle));
-                        shared.work_cv.notify_all();
-                        shared.done_cv.notify_all();
-                        continue;
+                // a client running its own batch holds the engine slot;
+                // its release wakes this loop again
+                if !st.running {
+                    // controls first: an eviction must not wait behind
+                    // a backlog of batches that will each fail against
+                    // it
+                    if let Some(h) = st.controls.pop_front() {
+                        st.running = true;
+                        break DriverAction::Evict(h);
                     }
-                    if chosen.deadline.is_some_and(|dl| Instant::now() > dl) {
-                        // deadline already missed: computing it would
-                        // only delay batches that can still make theirs
-                        st.stats.shed += 1;
-                        st.complete(chosen.slot, chosen.seq, Err(RequestError::Shed));
-                        shared.work_cv.notify_all();
-                        shared.done_cv.notify_all();
-                        continue;
+                    if let Some(i) = st.pick_ready() {
+                        let chosen = st.ready.remove(i);
+                        st.advance_decode_run(chosen.priority);
+                        if chosen.handles.iter().any(|h| st.condemned.contains(h)) {
+                            // condemned while queued: fail the batch
+                            // without touching the (possibly already
+                            // evicted) panel
+                            st.stats.stale_failures += 1;
+                            st.complete(chosen.slot, chosen.seq, Err(RequestError::StaleHandle));
+                            shared.work_cv.notify_all();
+                            shared.done_cv.notify_all();
+                            continue;
+                        }
+                        if chosen.deadline.is_some_and(|dl| Instant::now() > dl) {
+                            // deadline already missed: computing it
+                            // would only delay batches that can still
+                            // make theirs
+                            st.stats.shed += 1;
+                            st.complete(chosen.slot, chosen.seq, Err(RequestError::Shed));
+                            shared.work_cv.notify_all();
+                            shared.done_cv.notify_all();
+                            continue;
+                        }
+                        st.running = true;
+                        break DriverAction::Run(chosen);
                     }
-                    break DriverAction::Run(chosen);
-                }
-                if st.shutdown && st.live_stagers == 0 && st.controls.is_empty() {
-                    break DriverAction::Exit;
+                    if st.shutdown && st.live_stagers == 0 && st.controls.is_empty() {
+                        break DriverAction::Exit;
+                    }
                 }
                 st = shared.wait(&shared.ready_cv, st);
             }
@@ -653,21 +813,20 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B::Prepared>, mut backend: B) -> 
         match action {
             DriverAction::Exit => {
                 watch.armed = false;
-                return backend;
+                return;
             }
             DriverAction::Evict(h) => {
-                // the driver owns the backend, so this cannot race an
-                // execute; a handle evicted behind the snapshot's back
-                // is already an error, ignore it
-                let _ = backend.evict_weights(h);
+                // the engine slot serializes this with every execute; a
+                // handle evicted behind the snapshot's back is already
+                // an error, ignore it
+                let _ = shared.with_engine(|b| b.evict_weights(h));
+                let mut st = shared.lock();
+                st.running = false;
+                shared.done_cv.notify_all();
             }
             DriverAction::Run(ready) => {
-                let result = backend.execute_prepared(ready.staged);
-                let mut st = shared.lock();
-                st.stats.executed += 1;
-                st.complete(ready.slot, ready.seq, Ok(result));
-                shared.work_cv.notify_all();
-                shared.done_cv.notify_all();
+                let outcome = shared.with_engine(|b| b.execute_prepared(ready.staged));
+                shared.finish_run(&mut shared.lock(), ready.slot, ready.seq, outcome);
             }
         }
     }
@@ -680,7 +839,7 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B::Prepared>, mut backend: B) -> 
 /// handle cancels its unclaimed batches and releases the slot once
 /// in-flight work completes.
 pub struct DispatchSession<B: CampBackend + Send + 'static> {
-    shared: Arc<Shared<B::Prepared>>,
+    shared: Arc<Shared<B>>,
     slot: usize,
     /// Process-unique identity stamped into this session's tickets.
     id: u64,
@@ -761,7 +920,10 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
         let q = self.shared.queue(&mut st, self.slot);
         q.submitted.push_back(Pending { seq, batch, priority, deadline, handles, admit });
         st.stats.submitted += 1;
-        self.shared.work_cv.notify_all();
+        match self.shared.steal {
+            StealPolicy::Eager => self.shared.work_cv.notify_one(),
+            StealPolicy::Pinned => self.shared.work_cv.notify_all(),
+        }
         Ok(TicketId { session: self.id, seq })
     }
 
@@ -796,11 +958,21 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
 
     /// Block until the batch completes; `Err` reports a batch failed in
     /// flight (today: condemned by a racing
-    /// [`Dispatcher::evict_weights`]). Each ticket can be waited on
-    /// exactly once.
+    /// [`Dispatcher::evict_weights`], or shed past its deadline). Each
+    /// ticket can be waited on exactly once.
+    ///
+    /// **Caller runs:** when the batch is the one the pipeline would
+    /// run next — this session's only unclaimed batch, the engine idle
+    /// and nothing ahead of it (see the [module docs](self)) — the
+    /// waiting thread takes the engine slot and prepares and executes
+    /// it itself instead of paying the stager and driver hand-offs.
+    /// The result, the stats and every scheduling decision are the
+    /// same either way; [`DispatchStats::inline`] counts these batches.
     ///
     /// # Panics
-    /// Panics if a pipeline thread died, or the ticket's result was
+    /// Panics if a pipeline thread died, the backend panicked while
+    /// this thread ran the batch (the dispatcher is dead afterwards,
+    /// exactly as after a driver death), or the ticket's result was
     /// already collected.
     pub fn wait(&mut self, ticket: TicketId) -> Result<BatchOutcome, RequestError> {
         let seq = self.check_ticket(ticket);
@@ -815,8 +987,42 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
             if let Some(who) = st.dead {
                 panic!("serving session is dead: {who} thread panicked");
             }
-            st = self.shared.wait(&self.shared.done_cv, st);
+            st = match st.claim_inline(self.slot, seq) {
+                Some(pending) => {
+                    drop(st);
+                    self.run_inline(pending)
+                }
+                None => self.shared.wait(&self.shared.done_cv, st),
+            };
         }
+    }
+
+    /// The caller-runs path: prepare and execute a batch claimed by
+    /// [`DispState::claim_inline`] on this thread, then book it exactly
+    /// as the driver would. A panic in the backend kills the
+    /// dispatcher the way a driver death does — engine slot released,
+    /// `dead` set, every waiter woken — and surfaces here as the same
+    /// "serving session is dead" panic every other client sees.
+    fn run_inline(&self, pending: Pending) -> MutexGuard<'_, DispState<B::Prepared>> {
+        let shared = &*self.shared;
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let staged: Vec<B::Prepared> =
+                pending.batch.into_iter().map(|r| B::prepare(r, &shared.weights)).collect();
+            shared.with_engine(|b| b.execute_prepared(staged))
+        }));
+        let Ok(outcome) = ran else {
+            shared.mark_dead("client");
+            panic!("serving session is dead: client thread panicked");
+        };
+        let mut st = shared.lock();
+        st.stats.inline += 1;
+        shared.finish_run(&mut st, self.slot, pending.seq, outcome);
+        // the driver may be parked on work that arrived while this
+        // thread held the engine, or on its shutdown exit
+        if !st.ready.is_empty() || !st.controls.is_empty() || st.shutdown {
+            shared.ready_cv.notify_all();
+        }
+        st
     }
 
     /// Batches submitted whose results have not been collected yet
@@ -834,12 +1040,12 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     }
 }
 
-impl<P> Shared<P> {
+impl<B: CampBackend> Shared<B> {
     /// A live client's queue. The slot cannot be reaped while the
     /// client exists (reaping requires `closed`, set only on drop).
     fn queue<'a>(
         &self,
-        st: &'a mut MutexGuard<'_, DispState<P>>,
+        st: &'a mut MutexGuard<'_, DispState<B::Prepared>>,
         slot: usize,
     ) -> &'a mut SessQueue {
         st.sessions[slot].as_mut().expect("live client keeps its slot")
@@ -872,10 +1078,10 @@ impl<B: CampBackend + Send + 'static> Drop for DispatchSession<B> {
 /// [`Dispatcher::session`], reclaim the warm backend with
 /// [`Dispatcher::into_backend`].
 pub struct Dispatcher<B: CampBackend + Send + 'static> {
-    shared: Arc<Shared<B::Prepared>>,
+    shared: Arc<Shared<B>>,
     options: DispatchOptions,
     stagers: Vec<JoinHandle<()>>,
-    driver: Option<JoinHandle<B>>,
+    driver: Option<JoinHandle<()>>,
 }
 
 impl<B: CampBackend + Send + 'static> std::fmt::Debug for Dispatcher<B> {
@@ -899,23 +1105,14 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
     pub fn with_options(backend: B, options: DispatchOptions) -> Self {
         assert!(options.stagers >= 1, "a dispatcher needs at least one stager");
         assert!(options.queue_depth >= 1, "a zero admission bound would reject everything");
-        let shared: Arc<Shared<B::Prepared>> = Arc::new(Shared {
-            state: Mutex::new(DispState {
-                sessions: Vec::new(),
-                ready: Vec::new(),
-                controls: VecDeque::new(),
-                condemned: HashSet::new(),
-                admit_seq: 0,
-                decode_run: 0,
-                live_stagers: options.stagers,
-                shutdown: false,
-                dead: None,
-                stats: Counters::default(),
-            }),
+        let shared: Arc<Shared<B>> = Arc::new(Shared {
+            state: Mutex::new(DispState::new(options.stagers)),
+            weights: backend.weight_snapshot(),
+            engine: Mutex::new(Some(backend)),
+            steal: options.steal,
             work_cv: Condvar::new(),
             ready_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            weights: backend.weight_snapshot(),
         });
 
         let stagers = (0..options.stagers)
@@ -932,7 +1129,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
         let driver_shared = Arc::clone(&shared);
         let driver = crate::sync::thread::Builder::new()
             .name("camp-dispatch-driver".into())
-            .spawn(move || driver_loop::<B>(&driver_shared, backend))
+            .spawn(move || driver_loop::<B>(&driver_shared))
             .expect("failed to spawn dispatch driver");
 
         Dispatcher { shared, options, stagers, driver: Some(driver) }
@@ -990,6 +1187,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
         DispatchStats {
             submitted: st.stats.submitted,
             executed: st.stats.executed,
+            inline: st.stats.inline,
             cancelled: st.stats.cancelled,
             rejected: st.stats.rejected,
             stolen: st.stats.stolen,
@@ -998,6 +1196,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
             shed: st.stats.shed,
             staging_live: st.sessions.iter().flatten().map(|q| q.staged_live).sum(),
             ready_now: st.ready.len(),
+            engine_busy: st.running,
             sessions_live: st.sessions.iter().flatten().count(),
         }
     }
@@ -1018,7 +1217,11 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
             let _ = h.join();
         }
         let driver = self.driver.take().expect("driver already joined");
-        driver.join().expect("dispatcher driver panicked")
+        driver.join().expect("dispatcher driver panicked");
+        // the driver exits only with the engine slot released, and no
+        // client takes it once shutdown began
+        let mut slot = self.shared.engine.lock().expect("dispatcher backend panicked");
+        slot.take().expect("backend already taken")
     }
 
     fn begin_shutdown(&self) {
@@ -1038,6 +1241,10 @@ impl<B: CampBackend + Send + 'static> Drop for Dispatcher<B> {
         if let Some(h) = self.driver.take() {
             let _ = h.join();
         }
+        // drop the backend (and its worker pool) here, with the
+        // pipeline joined, not on whichever client handle happens to
+        // release the shared state last
+        drop(self.shared.engine.lock().unwrap_or_else(|e| e.into_inner()).take());
     }
 }
 
@@ -1061,9 +1268,43 @@ mod tests {
         gate.1.notify_all();
     }
 
+    /// Batch identities (m) whose `prepare` parks the calling thread
+    /// while a [`Held`] guard for them lives: pins a stager inside
+    /// staging, so the only way to the engine left is a waiting
+    /// client's caller-runs path. Each test holds its own m values.
+    static HELD: OnceLock<(std::sync::Mutex<HashSet<usize>>, std::sync::Condvar)> = OnceLock::new();
+
+    /// Releases its m on drop — also when the test fails, so the
+    /// dispatcher's `Drop` can still join the parked stager.
+    struct Held(usize);
+
+    fn hold(m: usize) -> Held {
+        HELD.get_or_init(Default::default).0.lock().unwrap().insert(m);
+        Held(m)
+    }
+
+    impl Drop for Held {
+        fn drop(&mut self) {
+            let (held, cv) = HELD.get_or_init(Default::default);
+            held.lock().unwrap_or_else(|e| e.into_inner()).remove(&self.0);
+            cv.notify_all();
+        }
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload.downcast::<&str>().expect("panic message").to_string(),
+        }
+    }
+
+    /// The batch identity whose execution panics in [`GateBackend`].
+    const POISON_M: usize = 666;
+
     /// Mock backend whose `execute_prepared` consumes one [`Gate`]
     /// permit per batch and logs the batch's m (the tests' batch
-    /// identity) in execution order.
+    /// identity) in execution order; `prepare` honours [`hold`], and a
+    /// [`POISON_M`] batch panics on the engine.
     struct GateBackend {
         gate: Gate,
         log: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
@@ -1126,10 +1367,16 @@ mod tests {
         }
 
         fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
+            let (held, cv) = HELD.get_or_init(Default::default);
+            let mut held = held.lock().unwrap();
+            while held.contains(&req.m()) {
+                held = cv.wait(held).unwrap();
+            }
             req
         }
 
         fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
+            assert!(batch.first().is_none_or(|r| r.m() != POISON_M), "poisoned batch");
             let (permits, cv) = &*self.gate;
             let mut p = permits.lock().unwrap();
             while *p == 0 {
@@ -1213,7 +1460,7 @@ mod tests {
         let d = decode.submit_with(vec![req(3)], Priority::Decode, None).unwrap();
         // pin the pipeline: batch 1 on the (gated) engine, batches 2
         // and 3 staged and ready
-        wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2);
+        wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2 && s.engine_busy);
 
         grant(&gate, 3);
         assert_eq!(decode.wait(d).unwrap().outputs[0].m, 3);
@@ -1236,17 +1483,14 @@ mod tests {
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
 
-        let now = Instant::now();
+        // the deadline orders, it must not expire: a loaded machine can
+        // take milliseconds to reach the pick, and a missed deadline is
+        // shed (see the next test)
+        let deadline = Instant::now() + std::time::Duration::from_secs(3600);
         let gate_batch = a.submit(vec![req(9)]).unwrap(); // occupies the engine
         let relaxed = a.submit_with(vec![req(1)], Priority::Prefill, None).unwrap();
-        let urgent = b
-            .submit_with(
-                vec![req(2)],
-                Priority::Prefill,
-                Some(now + std::time::Duration::from_millis(1)),
-            )
-            .unwrap();
-        wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2);
+        let urgent = b.submit_with(vec![req(2)], Priority::Prefill, Some(deadline)).unwrap();
+        wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2 && s.engine_busy);
 
         grant(&gate, 3);
         assert!(a.wait(gate_batch).is_ok());
@@ -1415,8 +1659,11 @@ mod tests {
         }
         // pin: one decode on the gated engine, both decode sessions at
         // their staging window — the first executed batch is decode
-        wait_for(&dispatcher, |s| s.staging_live == 4 && s.ready_now == 3);
+        wait_for(&dispatcher, |s| s.staging_live == 4 && s.ready_now == 3 && s.engine_busy);
         let pt = p.submit(vec![req(7)]).unwrap();
+        // the prefill batch is staged before the flood is released:
+        // aging picks among ready batches
+        wait_for(&dispatcher, |s| s.ready_now == 4);
 
         grant(&gate, 13);
         for (who, t) in decode_tickets {
@@ -1550,6 +1797,183 @@ mod tests {
         assert_eq!(log.lock().unwrap().len(), 6);
         drop(a);
         drop(b);
+    }
+
+    #[test]
+    fn claim_inline_takes_only_the_batch_the_pipeline_would_run_next() {
+        fn pending(seq: u64, priority: Priority, admit: u64) -> Pending {
+            Pending {
+                seq,
+                batch: vec![req(1)],
+                priority,
+                deadline: None,
+                handles: Vec::new(),
+                admit,
+            }
+        }
+        // slot 0 waits on its only batch (seq 0, admitted 5); slot 1 is
+        // another tenant with nothing queued
+        fn state(priority: Priority) -> DispState<GemmRequest> {
+            let mut st = DispState::new(1);
+            let mut q = SessQueue::with_depth(8);
+            q.submitted.push_back(pending(0, priority, 5));
+            q.pending = 1;
+            st.sessions.push(Some(q));
+            st.sessions.push(Some(SessQueue::with_depth(8)));
+            st
+        }
+        fn queue(st: &mut DispState<GemmRequest>, slot: usize) -> &mut SessQueue {
+            st.sessions[slot].as_mut().unwrap()
+        }
+        let h = CampEngine::new().register_weights(1, 1, &[1], DType::I8);
+
+        let mut st = state(Priority::Prefill);
+        let claimed = st.claim_inline(0, 0).expect("an idle pipeline hands the batch over");
+        assert_eq!(claimed.seq, 0);
+        assert!(st.running, "the claim takes the engine slot");
+        assert_eq!(queue(&mut st, 0).staged_live, 1, "and a staging-window permit");
+        assert!(state(Prefill).claim_inline(0, 1).is_none(), "only the awaited batch");
+
+        use Priority::{Decode, Prefill};
+        type Perturb = fn(&mut DispState<GemmRequest>, WeightHandle);
+        let blocked: [(&str, Priority, Perturb); 13] = [
+            ("the engine is busy", Prefill, |st, _| st.running = true),
+            ("shutdown began", Prefill, |st, _| st.shutdown = true),
+            ("a batch is ready", Prefill, |st, _| {
+                let (staged, handles) = (Vec::new(), Vec::new());
+                let (slot, seq, priority, deadline, admit) = (1, 0, Prefill, None, 9);
+                st.ready.push(ReadyBatch { slot, seq, staged, priority, deadline, handles, admit })
+            }),
+            ("a decode batch is ready", Prefill, |st, _| {
+                let (staged, handles) = (Vec::new(), Vec::new());
+                let (slot, seq, priority, deadline, admit) = (1, 0, Decode, None, 9);
+                st.ready.push(ReadyBatch { slot, seq, staged, priority, deadline, handles, admit })
+            }),
+            ("an eviction is pending", Prefill, |st, h| st.controls.push_back(h)),
+            ("a second batch is queued", Prefill, |st, _| {
+                queue(st, 0).submitted.push_back(pending(1, Prefill, 6))
+            }),
+            ("an earlier batch is in flight", Prefill, |st, _| queue(st, 0).staged_live = 1),
+            ("another front was admitted first", Prefill, |st, _| {
+                queue(st, 1).submitted.push_back(pending(0, Prefill, 4))
+            }),
+            ("a decode batch is queued", Prefill, |st, _| {
+                queue(st, 1).submitted.push_back(pending(0, Decode, 7))
+            }),
+            ("a decode batch is being staged", Prefill, |st, _| st.staging[Decode as usize] = 1),
+            ("aging owes a staged prefill", Decode, |st, _| {
+                st.decode_run = DECODE_BURST;
+                st.staging[Prefill as usize] = 1;
+            }),
+            ("the deadline passed", Prefill, |st, _| {
+                queue(st, 0).submitted[0].deadline = Some(Instant::now());
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }),
+            ("a handle is condemned", Prefill, |st, h| {
+                queue(st, 0).submitted[0].handles.push(h);
+                st.condemned.insert(h);
+            }),
+        ];
+        for (why, priority, perturb) in blocked {
+            let mut st = state(priority);
+            perturb(&mut st, h);
+            assert!(st.claim_inline(0, 0).is_none(), "claimed although {why}");
+            assert_eq!(queue(&mut st, 0).submitted[0].seq, 0, "{why}: the batch stays queued");
+        }
+
+        // aging owes a queued prefill batch its turn too ...
+        let mut st = state(Decode);
+        st.decode_run = DECODE_BURST;
+        queue(&mut st, 1).submitted.push_back(pending(0, Prefill, 9));
+        assert!(st.claim_inline(0, 0).is_none());
+        // ... but below the bound decode outranks prefill anywhere, and
+        // the claim advances the aging count like a driver pick
+        let mut st = state(Decode);
+        st.decode_run = 3;
+        st.staging[Prefill as usize] = 1;
+        queue(&mut st, 1).submitted.push_back(pending(0, Prefill, 4));
+        assert!(st.claim_inline(0, 0).is_some());
+        assert_eq!(st.decode_run, 4);
+    }
+
+    #[test]
+    fn an_idle_engine_runs_a_waiting_clients_batch_on_its_thread() {
+        let (backend, _gate, log) = GateBackend::new(8);
+        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let mut helper = dispatcher.session();
+        let mut client = dispatcher.session();
+        // pin the only stager inside a prepare: nothing reaches the
+        // engine through the pipeline
+        let stager = hold(1001);
+        let held = helper.submit(vec![req(1001)]).unwrap();
+        wait_for(&dispatcher, |s| s.staging_live == 1);
+
+        let t = client.submit(vec![req(5)]).unwrap();
+        assert_eq!(client.wait(t).unwrap().outputs[0].m, 5);
+        let stats = dispatcher.stats();
+        assert_eq!((stats.inline, stats.executed, stats.staging_live), (1, 1, 1));
+
+        drop(stager);
+        assert_eq!(helper.wait(held).unwrap().outputs[0].m, 1001);
+        let stats = dispatcher.stats();
+        assert_eq!((stats.inline, stats.executed), (1, 2), "the staged batch used the driver");
+        assert_eq!(*log.lock().unwrap(), [5, 1001]);
+    }
+
+    #[test]
+    fn a_waiting_prefill_client_never_runs_ahead_of_queued_decode() {
+        let (backend, _gate, log) = GateBackend::new(8);
+        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let mut helper = dispatcher.session();
+        let mut decode = dispatcher.session();
+        let mut prefill = dispatcher.session();
+        let stager = hold(1002);
+        let held = helper.submit(vec![req(1002)]).unwrap();
+        wait_for(&dispatcher, |s| s.staging_live == 1);
+
+        let td = decode.submit_with(vec![req(6)], Priority::Decode, None).unwrap();
+        let tp = prefill.submit(vec![req(7)]).unwrap();
+        let waiter = std::thread::spawn(move || prefill.wait(tp).map(|o| o.outputs[0].m));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(dispatcher.stats().inline, 0, "prefill ran ahead of a queued decode batch");
+
+        // the decode client runs its own batch, which frees the prefill
+        // waiter to run its batch in turn
+        assert_eq!(decode.wait(td).unwrap().outputs[0].m, 6);
+        assert_eq!(waiter.join().unwrap(), Ok(7));
+        assert_eq!(dispatcher.stats().inline, 2);
+        assert_eq!(*log.lock().unwrap(), [6, 7]);
+        drop(stager);
+        assert!(helper.wait(held).is_ok());
+    }
+
+    #[test]
+    fn an_inline_panic_kills_the_dispatcher_for_every_tenant() {
+        let (backend, _gate, log) = GateBackend::new(8);
+        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let mut helper = dispatcher.session();
+        let mut poisoned = dispatcher.session();
+        let mut victim = dispatcher.session();
+        let stager = hold(1003);
+        let _held = helper.submit(vec![req(1003)]).unwrap();
+        wait_for(&dispatcher, |s| s.staging_live == 1);
+
+        let tp = poisoned.submit(vec![req(POISON_M)]).unwrap();
+        let tv = victim.submit(vec![req(8)]).unwrap();
+        let died = std::thread::spawn(move || poisoned.wait(tp)).join().unwrap_err();
+        assert_eq!(panic_message(died), "serving session is dead: client thread panicked");
+
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| victim.wait(tv)));
+        let msg = panic_message(caught.unwrap_err());
+        assert!(msg.contains("serving session is dead"), "{msg}");
+        let stats = dispatcher.stats();
+        assert_eq!((stats.inline, stats.executed), (0, 0));
+        assert!(log.lock().unwrap().is_empty(), "nothing ran after the death");
+
+        // the stager leaves its prepare and exits; Drop joins everything
+        drop(stager);
+        drop((helper, victim));
+        drop(dispatcher);
     }
 
     #[test]

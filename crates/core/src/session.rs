@@ -17,10 +17,13 @@
 //!    pre-packs A (and dense B) into the panel layout the macro-kernel
 //!    consumes, so the packing of batch N+1 overlaps the compute of
 //!    batch N; substrates with nothing to stage pass requests through;
-//! 3. **compute** — a driver thread owning the backend runs each staged
-//!    batch ([`CampBackend::execute_prepared`]); on the host engine the
+//! 3. **compute** — a driver thread runs each staged batch
+//!    ([`CampBackend::execute_prepared`]); on the host engine the
 //!    steady state packs **zero** B bytes for registered weights and
-//!    does no A-packing on the compute path.
+//!    does no A-packing on the compute path. A caller blocked in
+//!    [`Session::wait`] on its only unclaimed batch, with the engine
+//!    idle, prepares and runs that batch on its own thread instead
+//!    (the dispatcher's caller-runs path), skipping both hand-offs.
 //!
 //! Results come back through [`Session::poll`] (non-blocking) or
 //! [`Session::wait`] (blocking) as [`BatchOutcome`]s, in any order,

@@ -338,3 +338,164 @@ mod seeded {
         eprintln!("seeded dispatch bug caught as expected:\n{msg}");
     }
 }
+
+/// Weightless mock that asserts no two executions overlap: the engine
+/// slot must serialize the driver and every client running its own
+/// batch. The overlap counter is a model atomic, so each execution
+/// spans schedule points another thread could run in.
+struct ExclusiveBackend {
+    busy: std::sync::Arc<loom::sync::atomic::AtomicUsize>,
+    executed: usize,
+}
+
+impl CampBackend for ExclusiveBackend {
+    type Prepared = GemmRequest;
+
+    fn name(&self) -> &'static str {
+        "model-exclusive"
+    }
+
+    fn threads(&self) -> usize {
+        1
+    }
+
+    fn supports(&self, _cap: Capability) -> bool {
+        false
+    }
+
+    fn kernel_info(&self) -> KernelInfo {
+        unimplemented!("not part of the modeled pipeline")
+    }
+
+    fn register_weights(&mut self, _n: usize, _k: usize, _b: &[i8], _dtype: DType) -> WeightHandle {
+        unimplemented!("this model submits dense requests only")
+    }
+
+    fn evict_weights(&mut self, _h: WeightHandle) -> Result<WeightMeta, RequestError> {
+        unimplemented!("this model submits dense requests only")
+    }
+
+    fn clear_weights(&mut self) {}
+
+    fn try_weight_meta(&self, _h: WeightHandle) -> Result<WeightMeta, RequestError> {
+        unimplemented!("this model submits dense requests only")
+    }
+
+    fn weight_snapshot(&self) -> WeightSnapshot {
+        WeightSnapshot::empty()
+    }
+
+    fn execute_batch(&mut self, _reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
+        unimplemented!("dispatchers drive execute_prepared")
+    }
+
+    fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
+        req
+    }
+
+    fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
+        use loom::sync::atomic::Ordering;
+        assert_eq!(self.busy.fetch_add(1, Ordering::SeqCst), 0, "two executions overlap");
+        self.executed += batch.len();
+        self.busy.fetch_sub(1, Ordering::SeqCst);
+        let outputs =
+            batch.iter().map(|r| Output::new(vec![0; r.m()], r.m(), 1)).collect::<Vec<_>>();
+        BatchOutcome::new(outputs, ExecStats::Host(EngineStats::default()))
+    }
+}
+
+/// Caller runs, raced: one tenant pipelines two batches through the
+/// stager and the driver while another, on its own thread, submits
+/// one batch and waits — free to run it inline whenever the engine
+/// looks idle. In every schedule the engine executes one batch at a
+/// time, every batch runs exactly once, and the teardown joins.
+///
+/// Four threads (stager, driver, two clients): preemption bound 1, as
+/// for the concurrent-submitter model above.
+#[test]
+fn inline_execution_races_the_driver_and_a_stager() {
+    // (some schedule ran a batch inline, some ran none inline): the
+    // model must explore both paths, or it proves nothing about the race
+    let seen = std::sync::Mutex::new((false, false));
+    let report =
+        loom::model::Builder { preemption_bound: 1, max_iterations: 500_000 }.check(|| {
+            let busy = std::sync::Arc::new(loom::sync::atomic::AtomicUsize::new(0));
+            let backend = ExclusiveBackend { busy, executed: 0 };
+            let dispatcher = Dispatcher::with_options(backend, one_stager());
+            let mut piped = dispatcher.session();
+            let mut caller = dispatcher.session();
+            let h = loom::thread::spawn(move || {
+                let t = caller.submit(vec![tiny_request()]).expect("valid submission");
+                assert_eq!(caller.wait(t).expect("batch completes").outputs.len(), 1);
+            });
+            let t1 = piped.submit(vec![tiny_request()]).expect("valid submission");
+            let t2 = piped.submit(vec![tiny_request()]).expect("valid submission");
+            assert!(piped.wait(t1).is_ok());
+            assert!(piped.wait(t2).is_ok());
+            h.join().expect("caller thread panicked");
+            let stats = dispatcher.stats();
+            assert_eq!(stats.executed, 3);
+            assert!(stats.inline <= 2, "the pipelining tenant's first batch never runs inline");
+            let mut seen = seen.lock().unwrap();
+            seen.0 |= stats.inline > 0;
+            seen.1 |= stats.inline == 0;
+            drop(piped);
+            let backend = dispatcher.into_backend();
+            assert_eq!(backend.executed, 3, "a batch was lost or ran twice");
+        });
+    assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
+    assert_eq!(*seen.lock().unwrap(), (true, true), "both execution paths must be explored");
+    eprintln!("dispatch inline race: {} interleavings", report.iterations);
+}
+
+/// Under `StealPolicy::Eager` a submission wakes only one of the
+/// stagers: with two stagers and three batches in flight, every batch
+/// is still claimed, staged and executed in every schedule — a woken
+/// stager keeps claiming, and a busy one re-checks before it parks.
+#[test]
+fn eager_submissions_wake_one_stager_and_lose_nothing() {
+    let report =
+        loom::model::Builder { preemption_bound: 1, max_iterations: 500_000 }.check(|| {
+            let opts = DispatchOptions { stagers: 2, queue_depth: 8, steal: StealPolicy::Eager };
+            let dispatcher = Dispatcher::with_options(CountingBackend { executed: 0 }, opts);
+            let mut a = dispatcher.session();
+            let mut b = dispatcher.session();
+            let t1 = a.submit(vec![tiny_request()]).expect("valid submission");
+            let t2 = a.submit(vec![tiny_request()]).expect("valid submission");
+            let t3 = b.submit(vec![tiny_request()]).expect("valid submission");
+            assert!(a.wait(t1).is_ok());
+            assert!(b.wait(t3).is_ok());
+            assert!(a.wait(t2).is_ok());
+            drop((a, b));
+            let backend = dispatcher.into_backend();
+            assert_eq!(backend.executed, 3, "a batch was lost or ran twice");
+        });
+    assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
+    eprintln!("dispatch eager wake-one: {} interleavings", report.iterations);
+}
+
+/// A backlog deeper than the `MAX_STAGED` window: the stager parks
+/// with work still queued, and only a completion that frees the
+/// window (and finds that queued work) wakes it. Four batches, so the
+/// waiter finds two still queued behind the window and cannot run
+/// one itself. Every batch runs exactly once in every schedule.
+#[test]
+fn a_backlog_deeper_than_the_staging_window_drains() {
+    let report =
+        loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let mut session = dispatcher.session();
+            let tickets: Vec<_> = (0..4)
+                .map(|_| session.submit(vec![tiny_request()]).expect("valid submission"))
+                .collect();
+            for t in tickets {
+                assert!(session.wait(t).is_ok());
+            }
+            drop(session);
+            let backend = dispatcher.into_backend();
+            assert_eq!(backend.executed, 4, "a batch was lost or ran twice");
+        });
+    assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
+    eprintln!("dispatch deep backlog: {} interleavings", report.iterations);
+}

@@ -11,6 +11,8 @@
 
 use std::sync::Arc;
 
+use camp_core::backend::env_usize;
+
 use crate::session::InferError;
 
 /// What to do when appending would exceed the cache's capacity.
@@ -29,7 +31,8 @@ pub enum KvPolicy {
 }
 
 /// Environment knob overriding the default per-session KV capacity
-/// (rows per layer). Unset or unparsable means the model's `seq_len`.
+/// (rows per layer). Unset or zero means the model's `seq_len`; a
+/// value that is not an integer panics.
 pub const KV_CAPACITY_ENV: &str = "CAMP_KV_CAPACITY";
 
 /// Per-layer K/V storage for one inference session.
@@ -65,15 +68,16 @@ impl KvCache {
     }
 
     /// Capacity honoring the `CAMP_KV_CAPACITY` environment knob, with
-    /// `default` (typically the model's `seq_len`) when unset or
-    /// unparsable. Zero is treated as unset.
+    /// `default` (typically the model's `seq_len`) when unset. Zero is
+    /// treated as unset.
+    ///
+    /// # Panics
+    /// Panics when the knob is set to something that is not a
+    /// non-negative integer.
     pub fn capacity_from_env(default: usize) -> usize {
-        match std::env::var(KV_CAPACITY_ENV) {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => default,
-            },
-            Err(_) => default,
+        match env_usize(KV_CAPACITY_ENV) {
+            Some(n) if n > 0 => n,
+            _ => default,
         }
     }
 
